@@ -47,7 +47,11 @@ def _cpus() -> int:
 
 
 def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_hotpaths.json."""
+    """Merge one benchmark's results into BENCH_hotpaths.json.
+
+    Each section carries the CPU count it was measured with; ``meta``
+    describes only the most recent run.
+    """
     doc: dict = {}
     if os.path.exists(BENCH_PATH):
         with open(BENCH_PATH, "r", encoding="utf-8") as fh:
@@ -57,7 +61,7 @@ def _record(section: str, payload: dict) -> None:
         "numpy": np.__version__,
         "cpus": _cpus(),
     }
-    doc[section] = payload
+    doc[section] = {**payload, "cpus": _cpus()}
     with open(BENCH_PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -556,3 +560,49 @@ def test_nbody_step_throughput(report):
     # Vectorized deposit + FFT solve runs tens of steps/s even on one CPU;
     # a per-particle Python loop would be two orders of magnitude slower.
     assert steps_per_s >= 2.0, f"nbody step rate collapsed: {steps_per_s:.2f}/s"
+
+
+# -- 8. friends-of-friends scaling --------------------------------------------
+
+
+def test_fof_cluster_scaling(report):
+    """Friends-of-friends cost growth from 4K to 32K uniform particles.
+
+    At ``ll = 0.2 / N^(1/3)`` the mean number of partners per particle is
+    fixed, so a linear-time halo finder costs about 8x more at 8x the
+    particles while an all-pairs search costs 64x.  The ratio gate keeps a
+    quadratic algorithm from hiding behind the small populations the
+    tests use.
+    """
+    from repro.analysis.particles import friends_of_friends
+
+    sizes = (4096, 32768)
+    rng = np.random.default_rng(13)
+    times = {}
+    for n in sizes:
+        pos = rng.random((n, 3))
+        ll = 0.2 / n ** (1.0 / 3.0)
+        friends_of_friends(pos, ll)  # warm-up
+        times[n] = _best_of(lambda: friends_of_friends(pos, ll), 5)
+    ratio = times[sizes[1]] / times[sizes[0]]
+    _record(
+        "fof_cluster",
+        {
+            "particles": list(sizes),
+            "linking_length": "0.2 / N^(1/3)",
+            "wall_s_4k": times[sizes[0]],
+            "wall_s_32k": times[sizes[1]],
+            "ratio_32k_over_4k": ratio,
+            "ratio_ceiling": 24.0,
+        },
+    )
+    report(
+        "perf_fof_cluster",
+        "friends-of-friends, uniform population, ll = 0.2/N^(1/3)",
+        [
+            f"4K particles:    {times[sizes[0]] * 1e3:8.1f} ms",
+            f"32K particles:   {times[sizes[1]] * 1e3:8.1f} ms",
+            f"32K/4K ratio:    {ratio:8.1f}x (linear ~8x, quadratic ~64x)",
+        ],
+    )
+    assert ratio < 24.0, f"FoF 32K/4K cost ratio {ratio:.1f}x: not linear"

@@ -12,8 +12,10 @@ data:
   FFT of the (replicated, bit-identical) density contrast, radially
   binned ``P(k)``.
 - :class:`FriendsOfFriendsAnalysis` -- ragged ``allgather`` of the global
-  population, canonical id-order union-find clustering, and a min/max
-  halo-count reduction that doubles as a cross-rank divergence check.
+  population, linked-cell pair search in canonical id order with
+  smallest-index component labels (linear time for uniform populations),
+  and a min/max halo-count reduction that doubles as a cross-rank
+  divergence check.
 
 All three consume ``position`` / ``mass`` / ``id`` attributes from any
 data adaptor exposing a :class:`~repro.data.ParticleSet`-shaped
@@ -232,6 +234,28 @@ class PowerSpectrumAnalysis(AnalysisAdaptor):
 # -- friends-of-friends --------------------------------------------------------
 
 
+#: Candidate pairs examined per batch: bounds the pair-search temporaries
+#: even when a large linking length puts every pair in one cell.
+_PAIR_BATCH = 1 << 18
+
+
+def _merge_components(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Link pairs ``(i, j)`` into ``labels`` in place.
+
+    ``labels`` enters and leaves flat: every particle names the smallest
+    index of its component so far, which names itself.  Each round hooks
+    the larger root of every pair onto the smaller one, then jumps
+    pointers until the labels are flat again.
+    """
+    while not np.array_equal(labels[i], labels[j]):
+        np.minimum.at(labels, labels[i], labels[j])
+        np.minimum.at(labels, labels[j], labels[i])
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels[:] = jumped
+            jumped = labels[labels]
+
+
 def friends_of_friends(
     positions: np.ndarray, linking_length: float
 ) -> np.ndarray:
@@ -241,43 +265,64 @@ def friends_of_friends(
     linked; connected components are halos.  Returns an ``(n,)`` int64
     label array where each particle's label is the smallest input index
     in its halo -- a canonical labeling, so the result is independent of
-    traversal order.  Brute-force pairwise distances in blocks: exact,
-    and fast enough for the miniapp populations the tests use.
+    traversal order.
+
+    Linked cells: particles are sorted by a cell at least one linking
+    length wide, so each linked pair lies in the same or a periodically
+    adjacent cell.  The cell itself and a half shell of 13 neighbours
+    visit each cell pair once; the exact ``d² <= ll²`` test filters those
+    candidates.  O(n) for a uniform population at fixed ``n * ll³``.
     """
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
-    parent = np.arange(n, dtype=np.int64)
+    labels = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return labels
+    ll = abs(float(linking_length))  # the test below only sees ll**2
+    # Cells strictly wider than ll, since an accepted pair may be an ulp
+    # longer; the floor on ll keeps the int64 key m**3 from overflowing
+    # (and sends 0 or NaN to the finest grid).  Below 3 cells the -1/+1
+    # offsets alias mod m, so one cell holds everything.
+    m = int(1.0 / max(2.0**-20, ll))
+    while m * ll > 1.0 - 1e-9:
+        m -= 1
+    m = m if m >= 3 else 1
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
+    def flat(c: np.ndarray) -> np.ndarray:
+        return (c[..., 0] * m + c[..., 1]) * m + c[..., 2]
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return
-        # Union by smaller root: keeps labels canonical (min index wins).
-        if ri < rj:
-            parent[rj] = ri
-        else:
-            parent[ri] = rj
+    wrapped = pos % 1.0
+    wrapped[wrapped >= 1.0] = 0.0  # tiny negatives wrap to exactly 1.0
+    cell = (wrapped * m).astype(np.int64)
+    key = flat(cell)
+    order = np.argsort(key, kind="stable")
+    skey, scell = key[order], cell[order]
 
-    ll2 = float(linking_length) ** 2
-    block = 512
-    for i0 in range(0, n, block):
-        a = pos[i0 : i0 + block]
-        for j0 in range(i0, n, block):
-            b = pos[j0 : j0 + block]
-            d = a[:, None, :] - b[None, :, :]
-            d -= np.rint(d)  # minimum image on the periodic unit box
-            close = (d * d).sum(axis=-1) <= ll2
-            ii, jj = np.nonzero(close)
-            for i, j in zip(ii + i0, jj + j0):
-                if i < j:
-                    union(int(i), int(j))
-    return np.fromiter((find(int(i)) for i in range(n)), np.int64, count=n)
+    # Sorted-index partner range [lo, hi) per (offset, sorted particle);
+    # the own cell starts just past the particle, so its pairs appear once.
+    ranks = np.arange(n, dtype=np.int64)
+    lo, hi = ranks + 1, np.searchsorted(skey, skey, side="right")
+    if m > 1:
+        # The 13 offsets that follow (0, 0, 0) in lexicographic order.
+        half = np.argwhere(np.ones((3, 3, 3), dtype=bool))[14:] - 1
+        nkey = flat((scell + half[:, None, :]) % m).ravel()
+        lo = np.r_[lo, np.searchsorted(skey, nkey, side="left")]
+        hi = np.r_[hi, np.searchsorted(skey, nkey, side="right")]
+    src, counts = np.tile(ranks, lo.size // n), hi - lo
+
+    # Expand the ranges into (i, j) pairs, about _PAIR_BATCH at a time.
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BATCH, ends[-1], _PAIR_BATCH)) + 1
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
+        c = counts[a:b]
+        first = np.cumsum(c) - c
+        i = order[np.repeat(src[a:b], c)]
+        j = order[np.repeat(lo[a:b] - first, c) + np.arange(c.sum())]
+        d = pos[i] - pos[j]
+        d -= np.rint(d)  # minimum image on the periodic unit box
+        close = (d * d).sum(axis=-1) <= ll**2
+        _merge_components(labels, i[close], j[close])
+    return labels
 
 
 def halo_sizes(labels: np.ndarray, min_members: int = 2) -> list[int]:
@@ -304,11 +349,11 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
 
     The per-rank populations are ragged (and may be empty); an
     ``allgather`` assembles the global set, a stable sort by persistent
-    particle id imposes the canonical order, and the union-find labels
-    are decomposition-independent by construction.  The halo *count* is
-    then pushed through min/max reductions -- a cheap cross-rank
-    agreement check that turns any divergence into an immediate error
-    instead of silently inconsistent artifacts.
+    particle id imposes the canonical order, and the smallest-index
+    labels are decomposition-independent by construction.  The halo
+    *count* is then pushed through min/max reductions -- a cheap
+    cross-rank agreement check that turns any divergence into an
+    immediate error instead of silently inconsistent artifacts.
     """
 
     def __init__(
@@ -323,6 +368,8 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
             raise ValueError("linking_length must be positive")
         if min_members < 1:
             raise ValueError("min_members must be >= 1")
+        if frequency <= 0:
+            raise ValueError("frequency must be positive")
         self.linking_length = linking_length
         self.min_members = min_members
         self.output_dir = output_dir

@@ -13,6 +13,7 @@ from repro.analysis.particles import (
     DensityProjectionAnalysis,
     FriendsOfFriendsAnalysis,
     PowerSpectrumAnalysis,
+    _merge_components,
     friends_of_friends,
     halo_sizes,
 )
@@ -53,6 +54,15 @@ class TestFriendsOfFriends:
         assert halo_sizes(labels) == []
         assert halo_sizes(labels, min_members=1) == [1, 1, 1]
         assert halo_sizes(np.empty(0, dtype=np.int64)) == []
+
+    def test_labels_carry_across_pair_batches(self):
+        # The first batch leaves 3 under root 2; the second hooks 2 -> 1
+        # -> 0 in one round.  Only jumping pointers until the forest is
+        # flat relabels 3, which no pair of the second batch mentions.
+        labels = np.arange(4, dtype=np.int64)
+        _merge_components(labels, np.array([3]), np.array([2]))
+        _merge_components(labels, np.array([2, 1]), np.array([1, 0]))
+        assert labels.tolist() == [0, 0, 0, 0]
 
     def test_partition_invariant_under_permutation(self):
         rng = np.random.default_rng(5)
@@ -150,6 +160,13 @@ class TestAnalysisBehavior:
             FriendsOfFriendsAnalysis(linking_length=0.0)
         with pytest.raises(ValueError):
             FriendsOfFriendsAnalysis(min_members=0)
+
+    def test_fof_rejects_non_positive_frequency(self):
+        # frequency=0 used to be accepted and then crash execute() with
+        # ZeroDivisionError on ``step % 0``.
+        for frequency in (0, -8):
+            with pytest.raises(ValueError, match="frequency must be positive"):
+                FriendsOfFriendsAnalysis(frequency=frequency)
 
     def test_registered_in_configurable_registry(self):
         types = registered_analysis_types()

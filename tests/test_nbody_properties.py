@@ -11,10 +11,13 @@ spins up a full multi-rank run -- while the pure-kernel properties
 ragged-slice introspection) run at normal hypothesis volume.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import particles
 from repro.analysis.particles import friends_of_friends, halo_sizes
 from repro.apps.nbody import NBodySimulation
 from repro.data import DataArray, ParticleSet, cic_deposit_int
@@ -189,6 +192,108 @@ class TestFoFProperties:
         labels = friends_of_friends(rng.random((n, 3)), 0.2)
         assert sum(halo_sizes(labels, min_members=1)) == n
         assert all(s >= 2 for s in halo_sizes(labels))
+
+
+def _brute_force_fof(positions, linking_length):
+    """O(N^2) reference: every pair through the minimum-image test, then a
+    union-find whose roots are the smallest index of their component."""
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d = pos[:, None, :] - pos[None, :, :]
+    d -= np.rint(d)
+    close = (d * d).sum(axis=-1) <= float(linking_length) ** 2
+    for i, j in zip(*np.nonzero(np.triu(close, k=1))):
+        ri, rj = find(int(i)), find(int(j))
+        parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(i) for i in range(n)], dtype=np.int64)
+
+
+#: Dyadic lattice: coordinates are multiples of 1/UNITS, so every
+#: difference and squared distance below is exact in float64.
+UNITS = 64
+
+
+@st.composite
+def dyadic_fof_inputs(draw):
+    """Positions with pairs planted on and just past the linking length.
+
+    ``ll = 2*step/UNITS`` runs up to 0.375, past the 1/3 at which the
+    search falls back to a single cell.  Planted partners sit exactly
+    ``ll`` away (along an axis, or along (1, 2, 2)/3 when ``step`` allows)
+    or one lattice unit further, and wrap across the periodic boundary;
+    anchors favour the coordinates 0 and UNITS-1.  Chains of exactly-``ll``
+    links need many label-propagation rounds once the indices are shuffled.
+    """
+    step = draw(st.integers(min_value=1, max_value=12))
+    link = 2 * step
+    coord = st.one_of(st.sampled_from([0, UNITS - 1]),
+                      st.integers(min_value=0, max_value=UNITS - 1))
+    point = st.tuples(coord, coord, coord)
+    points = draw(st.lists(point, max_size=20))
+    directions = [(link, 0, 0), (0, -link, 0), (0, 0, link)]
+    if step % 3 == 0:
+        k = link // 3
+        directions += [(k, 2 * k, -2 * k), (-2 * k, k, 2 * k)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        anchor = np.array(draw(point))
+        offset = np.array(draw(st.sampled_from(directions)))
+        beyond = draw(st.booleans())
+        offset += np.sign(offset) * beyond
+        points += [tuple(anchor), tuple((anchor + offset) % UNITS)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        anchor = np.array(draw(point))
+        offset = np.array(draw(st.sampled_from(directions)))
+        length = draw(st.integers(min_value=2, max_value=30))
+        points += [tuple((anchor + k * offset) % UNITS) for k in range(length)]
+    pos = np.array(points, dtype=np.float64).reshape(-1, 3) / UNITS
+    perm = draw(st.permutations(range(len(pos))))
+    return pos[list(perm)], link / UNITS
+
+
+class TestFoFMatchesBruteForce:
+    @given(case=dyadic_fof_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_dyadic_boundary_wrap_and_chain_labels(self, case):
+        pos, ll = case
+        labels = friends_of_friends(pos, ll)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, _brute_force_fof(pos, ll))
+
+    @given(
+        seed=seeds,
+        n=st.integers(min_value=0, max_value=120),
+        ll=st.one_of(
+            st.floats(min_value=0.01, max_value=0.7),
+            st.sampled_from([1 / 3, 0.25, 0.2, 0.1, 0.05, 1 / 30, -0.1, 0.0, float("nan")]),
+        ),
+        batch=st.sampled_from([particles._PAIR_BATCH, 1, 7]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unwrapped_float_positions(self, seed, n, ll, batch):
+        """Positions outside the unit box, tiny negatives among them, and
+        linking lengths whose inverse is an integer, or that are negative,
+        zero or NaN (the test squares ll); small pair batches make labels
+        carry across many batches."""
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-1.0, 2.0, (n, 3))
+        pos[: n // 4] = -1e-18 * rng.random((n // 4, 3))
+        with mock.patch.object(particles, "_PAIR_BATCH", batch):
+            labels = friends_of_friends(pos, ll)
+        assert np.array_equal(labels, _brute_force_fof(pos, ll))
+
+    def test_empty_and_single_particle(self):
+        for n in (0, 1):
+            labels = friends_of_friends(np.zeros((n, 3)), 0.1)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == list(range(n))
 
 
 class TestRaggedSliceProperties:
