@@ -126,6 +126,7 @@ class NBodySimulation:
             self.total_mass_global = float(mass.sum())
             #: Replicated global density of the last completed deposit.
             self.density = np.zeros((grid, grid, grid), dtype=np.float64)
+            self._init_spectral(grid)
             if self.memory is not None:
                 self.memory.track_array(
                     self.particles.positions, label="nbody::particles"
@@ -221,6 +222,29 @@ class NBodySimulation:
             rec.count("nbody::migrated_in", received)
 
     # -- gravity ---------------------------------------------------------------
+    def _init_spectral(self, g: int) -> None:
+        """Wavenumbers and work arrays of the Poisson solve, built once.
+
+        A 32^3 grid makes every spectral array ~256 KB, above glibc's
+        default mmap threshold, so allocating them per step would map and
+        fault in fresh pages every step.
+        """
+        kx = 2.0 * np.pi * np.fft.fftfreq(g, d=1.0 / g)
+        kz = 2.0 * np.pi * np.fft.rfftfreq(g, d=1.0 / g)
+        ks = (kx[:, None, None], kx[None, :, None], kz[None, None, :])
+        k2 = ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2
+        k2[0, 0, 0] = 1.0  # zero mode: potential gauge, forced to 0
+        self._k2 = k2
+        #: Spectral gradient factors, one per axis.
+        self._ik = tuple(-1j * k for k in ks)
+        spectral = (g, g, g // 2 + 1)
+        self._work = {
+            "delta": np.empty((g, g, g), dtype=np.float64),
+            "fk": np.empty(spectral, dtype=np.complex128),
+            "grad": np.empty(spectral, dtype=np.complex128),
+            "acc": [np.empty((g, g, g), dtype=np.float64) for _ in range(3)],
+        }
+
     def _solve_gravity(self) -> np.ndarray:
         """Accelerations at local particle positions from the global grid.
 
@@ -237,29 +261,28 @@ class NBodySimulation:
         with timed(self.timers, "nbody::reduce"):
             total = self.comm.allreduce(local, SUM)
         with timed(self.timers, "nbody::solve"):
-            rho = total.astype(np.float64) / DEPOSIT_SCALE
-            np.copyto(self.density, rho)
+            rho = self.density
+            np.copyto(rho, total)
+            rho /= DEPOSIT_SCALE
             mean = rho.mean()
-            delta = rho / mean - 1.0 if mean > 0 else rho
-            fk = np.fft.rfftn(delta)
-            kx = 2.0 * np.pi * np.fft.fftfreq(g, d=1.0 / g)
-            kz = 2.0 * np.pi * np.fft.rfftfreq(g, d=1.0 / g)
-            k2 = (
-                kx[:, None, None] ** 2
-                + kx[None, :, None] ** 2
-                + kz[None, None, :] ** 2
-            )
-            k2[0, 0, 0] = 1.0  # zero mode: potential gauge, forced to 0
-            phi_k = -self.gravity * fk / k2
+            if mean > 0:
+                delta = np.divide(rho, mean, out=self._work["delta"])
+                delta -= 1.0
+            else:
+                delta = rho
+            fk = np.fft.rfftn(delta, out=self._work["fk"])
+            phi_k = np.multiply(-self.gravity, fk, out=fk)
+            phi_k /= self._k2
             phi_k[0, 0, 0] = 0.0
-            acc = [
-                np.fft.irfftn(-1j * k * phi_k, s=(g, g, g), axes=(0, 1, 2))
-                for k in (
-                    kx[:, None, None],
-                    kx[None, :, None],
-                    kz[None, None, :],
-                )
-            ]
+            grad = self._work["grad"]
+            acc = []
+            for ik, out in zip(self._ik, self._work["acc"]):
+                # irfftn(ik * phi_k) written out axis by axis so that every
+                # stage lands in a buffer reused across steps.
+                np.multiply(ik, phi_k, out=grad)
+                np.fft.ifft(grad, axis=0, out=grad)
+                np.fft.ifft(grad, axis=1, out=grad)
+                acc.append(np.fft.irfft(grad, n=g, axis=2, out=out))
         with timed(self.timers, "nbody::gather"):
             return cic_gather(acc, p.positions)
 

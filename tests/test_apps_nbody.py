@@ -147,6 +147,46 @@ class TestEdgeCases:
         assert all(run_spmd(2, prog, timeout=90.0))
 
 
+def _reference_solve(sim):
+    """Density and accelerations from freshly allocated numpy FFT calls."""
+    from repro.data.particles import DEPOSIT_SCALE, cic_deposit_int, cic_gather
+
+    g, p = sim.grid, sim.particles
+    rho = cic_deposit_int(p.positions, p.masses, g).astype(np.float64) / DEPOSIT_SCALE
+    fk = np.fft.rfftn(rho / rho.mean() - 1.0)
+    kx = 2.0 * np.pi * np.fft.fftfreq(g, d=1.0 / g)
+    kz = 2.0 * np.pi * np.fft.rfftfreq(g, d=1.0 / g)
+    ks = (kx[:, None, None], kx[None, :, None], kz[None, None, :])
+    k2 = ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2
+    k2[0, 0, 0] = 1.0
+    phi_k = -sim.gravity * fk / k2
+    phi_k[0, 0, 0] = 0.0
+    acc = [np.fft.irfftn(-1j * k * phi_k, s=(g, g, g), axes=(0, 1, 2)) for k in ks]
+    return rho, cic_gather(acc, p.positions)
+
+
+class TestGravitySolve:
+    def test_reused_buffers_match_allocating_solve_bitwise(self):
+        """The solve writes into work arrays kept across steps; its density
+        and accelerations must equal the allocating formulation bit for
+        bit, on every call, not only the first."""
+
+        def prog(comm):
+            sim = NBodySimulation(comm, grid=16, n_particles=500, seed=11)
+            same = []
+            for _ in range(3):
+                rho, ref = _reference_solve(sim)
+                acc = sim._solve_gravity()
+                same.append(
+                    sim.density.tobytes() == rho.tobytes()
+                    and acc.tobytes() == ref.tobytes()
+                )
+                sim.advance()
+            return same
+
+        assert run_spmd(1, prog, timeout=90.0) == [[True, True, True]]
+
+
 class TestDataAdaptor:
     def test_density_view_is_zero_copy_slab(self):
         def prog(comm):
